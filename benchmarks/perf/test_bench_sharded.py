@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.perf_bench import run_perf_bench
+from repro.experiments.perf_bench import BENCH_SCHEMA, run_perf_bench
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -44,7 +44,6 @@ def sharded_report():
         cases=[],
         smoke=True,
         seed=0,
-        backends=(),
         include_tune=False,
         include_baselines=False,
         include_ingestion=False,
@@ -70,7 +69,7 @@ class TestShardedSuiteSmoke:
 
     def test_payload_carries_sharded_key(self, sharded_report):
         payload = sharded_report.to_payload()
-        assert payload["schema"] == 4
+        assert payload["schema"] == BENCH_SCHEMA
         assert payload["sharded"]["case"].startswith("sharded-")
 
     def test_smoke_accuracy_delta_within_bound(self, sharded_report):

@@ -12,9 +12,11 @@ aggregation is submission-ordered, which makes the parallel path
 Checks:
 
 * ``completion`` — Algorithm 1 with restarts
-  (:class:`repro.core.completion.CompressiveSensingCompleter`): the
-  estimate matrix, winning objective, best restart index and every
-  per-restart objective history must match to the last bit.
+  (:class:`repro.core.completion.CompressiveSensingCompleter`) at
+  float64 and float32: the estimate matrix, winning objective, best
+  restart index and every per-restart objective history must match to
+  the last bit, and the float32 estimate must stay within
+  :data:`repro.core.completion.FLOAT32_RTOL` of the float64 one.
 * ``tuning`` — Algorithm 2 GA search
   (:class:`repro.core.tuning.GeneticTuner`) with memoized fitness: the
   selected (rank, lambda), fitness, and full fitness history must match.
@@ -127,13 +129,16 @@ def check_completion(
 ) -> DeterminismCheck:
     """Algorithm 1 restarts: serial vs thread-pool, bit for bit.
 
-    Every *available* solver backend is double-run (workspace kernels
-    reuse buffers across sweeps, so this is exactly where a thread-race
-    would surface), plus the float32 path of the workspace backend —
-    reduced precision must still be bit-identical serial vs pool.
+    Both working dtypes are double-run (the kernel reuses workspace
+    buffers across sweeps, so this is exactly where a thread-race would
+    surface), and the float32 estimate is checked against the float64
+    one at :data:`~repro.core.completion.FLOAT32_RTOL` relative.
     """
-    from repro.core.backends import available_backend_names
-    from repro.core.completion import CompletionResult, CompressiveSensingCompleter
+    from repro.core.completion import (
+        FLOAT32_RTOL,
+        CompletionResult,
+        CompressiveSensingCompleter,
+    )
 
     started = time.perf_counter()
     # At least 2 so the parallel leg really runs through a pool even
@@ -143,20 +148,14 @@ def check_completion(
     iterations = 8 if smoke else 25
     restarts = 4 if smoke else 6
     values, mask = _toy_problem(seed, shape)
+    dtypes = ("float64", "float32")
 
-    backend_runs: List[Tuple[str, Optional[str]]] = [
-        (name, None) for name in available_backend_names()
-    ]
-    if "numpy-ws" in available_backend_names():
-        backend_runs.append(("numpy-ws", "float32"))
-
-    def run(pool: Optional[int], backend: str, dtype: Optional[str]) -> CompletionResult:
+    def run(pool: Optional[int], dtype: str) -> CompletionResult:
         completer = CompressiveSensingCompleter(
             rank=3,
             lam=10.0,
             iterations=iterations,
             restarts=restarts,
-            backend=backend,
             dtype=dtype,
             max_workers=pool,
             seed=seed,
@@ -164,34 +163,40 @@ def check_completion(
         return completer.complete(values, mask)
 
     problems: List[str] = []
-    for backend, dtype in backend_runs:
-        label = backend if dtype is None else f"{backend}/{dtype}"
-        serial = run(None, backend, dtype)
-        parallel = run(workers, backend, dtype)
+    estimates: Dict[str, np.ndarray] = {}
+    for dtype in dtypes:
+        serial = run(None, dtype)
+        parallel = run(workers, dtype)
+        estimates[dtype] = serial.estimate
         detail = _diff_arrays(
-            f"[{label}] estimate", serial.estimate, parallel.estimate
+            f"[{dtype}] estimate", serial.estimate, parallel.estimate
         )
         if detail:
             problems.append(detail)
         if serial.objective != parallel.objective:
             problems.append(
-                f"[{label}] objective {serial.objective!r} "
+                f"[{dtype}] objective {serial.objective!r} "
                 f"vs {parallel.objective!r}"
             )
         if serial.best_restart != parallel.best_restart:
-            problems.append(f"[{label}] winning restart index differs")
+            problems.append(f"[{dtype}] winning restart index differs")
         if serial.restart_histories != parallel.restart_histories:
-            problems.append(f"[{label}] per-restart objective histories differ")
+            problems.append(f"[{dtype}] per-restart objective histories differ")
+    est64 = estimates["float64"]
+    drift = float(np.abs(estimates["float32"].astype(np.float64) - est64).max())
+    bound = FLOAT32_RTOL * max(1.0, float(np.abs(est64).max()))
+    if drift > bound:
+        problems.append(
+            f"float32 estimate deviates from float64 by {drift:.3e} "
+            f"(> {bound:.3e})"
+        )
     ok = not problems
     return DeterminismCheck(
         name="completion",
         ok=ok,
         detail=(
             f"{restarts} restarts x {iterations} sweeps on {shape[0]}x{shape[1]}, "
-            f"1 vs {workers} workers, backends "
-            + ", ".join(
-                b if d is None else f"{b}/{d}" for b, d in backend_runs
-            )
+            f"1 vs {workers} workers, dtypes {', '.join(dtypes)}"
             if ok
             else "; ".join(problems)
         ),

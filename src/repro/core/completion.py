@@ -16,30 +16,19 @@ Two inner formulations are provided:
   observed, i.e. the constraint really is ``B .x (L R^T) = M`` (Eq. 15).
   This is the solver of the SRMF work [37] the paper says its algorithm
   follows, and is the variant that actually recovers missing data well.
+  All ``n`` Gram matrices ``G_j = F^T diag(B_{:,j}) F + lambda I`` are
+  built with one GEMM into a per-run workspace and solved in closed
+  form (Cramer's rule) at the paper's rank bound ``r <= 2``, or with
+  one stacked LAPACK ``gesv`` above it.
 * ``mask_aware=False`` — the literal pseudocode: one unmasked stacked
   least-squares solve ``inverse([L; sqrt(lambda) I], [M; 0])`` treating
   missing entries as zeros.  Kept for fidelity comparisons; it biases
   estimates toward zero wherever data is missing.
 
-The mask-aware regression admits three interchangeable ``solver``
-implementations (all minimize the same per-column objective; estimates
-agree to solver round-off, well below 1e-8 on conditioned problems):
-
-* ``"batched"`` (default) — one einsum builds all ``n`` Gram matrices
-  ``G_j = F^T diag(B_{:,j}) F + lambda I`` at once and a single stacked
-  ``np.linalg.solve`` on the ``(n, r, r)`` array solves them.  This is
-  the vectorized hot path: no Python-level loop over columns.
-* ``"grouped"`` — columns sharing an identical mask pattern are solved
-  together with one factorization and a multi-RHS solve.  Algorithm 1
-  derives the pattern groups once per ``complete()`` (packed-bit
-  hashing) and reuses them across every sweep and restart; when the
-  mask turns out unstructured (patterns nearly as numerous as columns)
-  the sweeps delegate to the batched kernel, so the grouped solver is
-  never slower than ``"batched"`` by more than the one-off grouping
-  cost.  Wins when the mask is structured (whole slots/segments
-  missing, sensor-style columns).
-* ``"loop"`` — the original per-column Python loop, kept as the
-  numerical reference the others are tested against.
+The sweep runs in float64 or float32 (``dtype=``).  Single precision
+carries ~7 significant digits, so a float32 estimate is held to
+:data:`FLOAT32_RTOL` relative to the float64 one, not to bitwise
+agreement.
 
 ``restarts > 1`` runs independent random initializations; with
 ``max_workers`` set they run concurrently (thread pool — the inner work
@@ -51,16 +40,10 @@ bit-identical whether restarts run serially or in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backends import (
-    BackendUnavailable,
-    BoundKernel,
-    SolverBackend,
-    get_backend,
-)
 from repro.core.tcm import TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -75,7 +58,16 @@ PAPER_RANK = 2
 PAPER_LAMBDA = 100.0
 PAPER_ITERATIONS = 100
 
-SOLVERS = ("batched", "grouped", "loop")
+#: Working dtypes of the ALS sweep.
+SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+#: Relative tolerance for float32-vs-float64 estimate comparisons:
+#: ``max |est32 - est64| <= FLOAT32_RTOL * max(1, max |est64|)``.  The
+#: ALS solves are ridge-regularized (condition bounded by the data Gram
+#: over ``lam``), so single precision loses a few of its ~7 digits over
+#: a 60-sweep run; 1e-3 relative holds with two orders of margin on the
+#: bench workloads while still catching any wrong-kernel bug outright.
+FLOAT32_RTOL = 1e-3
 
 # (best objective, L, R, per-sweep objective history) of one ALS run.
 _RunOutcome = Tuple[float, np.ndarray, np.ndarray, List[float]]
@@ -151,19 +143,6 @@ class CompressiveSensingCompleter:
         convergence on hundreds-by-hundreds matrices.
     mask_aware:
         Inner formulation choice (see module docstring).
-    solver:
-        Mask-aware implementation: ``"batched"`` (vectorized, default),
-        ``"grouped"`` (per mask pattern), or ``"loop"`` (per-column
-        reference).  Ignored when ``mask_aware=False``; only
-        ``"batched"`` combines with a non-default ``backend`` (the
-        backend's kernels replace the inner solver).
-    backend:
-        Solver backend from :mod:`repro.core.backends`: ``"numpy"``
-        (default, the legacy dispatch above), ``"numpy-ws"``
-        (preallocated-workspace kernels, float32-capable), or the
-        optional ``"numba"``/``"cupy"`` backends when their extras are
-        installed.  All backends minimize the same objective; see the
-        backends module for the numerical-equivalence contract.
     dtype:
         Working dtype policy.  ``None`` (default) honors the input:
         a float32 measurement matrix is completed in float32, anything
@@ -203,8 +182,6 @@ class CompressiveSensingCompleter:
         lam: float = PAPER_LAMBDA,
         iterations: int = PAPER_ITERATIONS,
         mask_aware: bool = True,
-        solver: str = "batched",
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         tol: Optional[float] = None,
         clip_min: Optional[float] = None,
@@ -220,34 +197,14 @@ class CompressiveSensingCompleter:
             raise ValueError(f"lam must be >= 0, got {lam}")
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-        backend_obj = get_backend(backend)
-        if backend_obj.name != "numpy":
-            if not backend_obj.is_available():
-                raise BackendUnavailable(
-                    f"backend {backend!r} {backend_obj.availability_hint()}"
-                )
-            if not mask_aware:
-                raise ValueError(
-                    f"backend {backend!r} implements the mask-aware solve; "
-                    "mask_aware=False requires backend='numpy'"
-                )
-            if solver != "batched":
-                raise ValueError(
-                    f"backend {backend!r} replaces the inner solver; "
-                    f"combine it with solver='batched', not {solver!r}"
-                )
         requested_dtype: Optional[np.dtype] = (
             None if dtype is None else np.dtype(dtype)
         )
-        if requested_dtype is not None and requested_dtype not in (
-            backend_obj.supported_dtypes
-        ):
-            supported = ", ".join(str(d) for d in backend_obj.supported_dtypes)
+        if requested_dtype is not None and requested_dtype not in SUPPORTED_DTYPES:
+            supported = ", ".join(str(d) for d in SUPPORTED_DTYPES)
             raise ValueError(
-                f"backend {backend!r} does not support dtype "
-                f"{requested_dtype} (supported: {supported})"
+                f"completion does not support dtype {requested_dtype} "
+                f"(supported: {supported})"
             )
         if tol is not None and tol <= 0:
             raise ValueError(f"tol must be positive, got {tol}")
@@ -261,10 +218,7 @@ class CompressiveSensingCompleter:
         self.lam = lam
         self.iterations = iterations
         self.mask_aware = mask_aware
-        self.solver = solver
-        self.backend = backend
         self.dtype = requested_dtype
-        self._backend: SolverBackend = backend_obj
         self.tol = tol
         self.clip_min = clip_min
         self.clip_max = clip_max
@@ -297,18 +251,18 @@ class CompressiveSensingCompleter:
         if not b_arr.any():
             raise ValueError("measurement matrix has no observed entries")
 
-        work_dtype = self.work_dtype(m_arr.dtype)
-        if m_arr.dtype != work_dtype:
-            m_arr = m_arr.astype(work_dtype)
+        m_arr = self._to_work_dtype(m_arr, b_arr)
+        work_dtype = m_arr.dtype
 
         rng = ensure_rng(self._seed)
         m, n = m_arr.shape
         r = min(self.rank, m, n)
 
-        # Zero the unobserved cells once.  The mask-aware solvers never
-        # read them, the literal solver's documented behavior is
-        # "missing entries are zeros", and hoisting the masking out of
-        # the sweep loop removes a full m x n `np.where` per solve.
+        # Zero the unobserved cells once.  The mask-aware kernel's RHS
+        # GEMM reads every cell, the literal solver's documented
+        # behavior is "missing entries are zeros", and hoisting the
+        # masking out of the sweep loop removes a full m x n `np.where`
+        # per solve.
         # The masking stays in the working dtype, and when the caller
         # already zeroed the unobserved cells (synthetic pipelines
         # build M as `np.where(mask, truth, 0)`) the full-matrix copy
@@ -340,22 +294,16 @@ class CompressiveSensingCompleter:
         # Indicator in the working dtype for the objective's masked
         # residual, cast once for all restarts (read-only across runs).
         ind = b_arr.astype(work_dtype)
-        # The mask never changes across sweeps or restarts, so the
-        # grouped solver's pattern discovery is hoisted here — one
-        # grouping per side for the whole call, not two per sweep.
-        groupings: Optional[Tuple["_MaskGroups", "_MaskGroups"]] = None
-        if self.mask_aware and self.solver == "grouped":
-            groupings = (_MaskGroups(b_arr), _MaskGroups(b_arr.T))
         with obs_trace.span(
             "als.complete",
             rows=m,
             cols=n,
             rank=r,
-            solver=self.solver if self.mask_aware else "stacked",
+            solver="masked" if self.mask_aware else "stacked",
             restarts=self.restarts,
         ):
             runs: List[_RunOutcome] = parallel_map(
-                lambda init: self._run_als(m_arr, b_arr, init, ind, groupings),
+                lambda init: self._run_als(m_arr, b_arr, init, ind),
                 inits,
                 max_workers=self.max_workers,
                 backend="thread",
@@ -394,31 +342,35 @@ class CompressiveSensingCompleter:
         b_arr: np.ndarray,
         init: np.ndarray,
         ind: Optional[np.ndarray] = None,
-        groupings: Optional[Tuple["_MaskGroups", "_MaskGroups"]] = None,
     ) -> _RunOutcome:
         """One ALS run from the given init (pseudocode lines 2-9).
 
         Returns ``(best objective, L, R, per-iteration objectives)``.
         Reads only; safe to run concurrently across restarts.  Each run
-        binds its own backend kernel and owns its own objective residual
-        buffer: workspace kernels reuse scratch buffers across sweeps,
-        so neither must ever be shared between concurrently-running
-        restarts.
+        binds its own kernel and owns its own objective residual buffer:
+        the kernel reuses scratch buffers across sweeps, so neither must
+        ever be shared between concurrently-running restarts.
         """
         n = m_arr.shape[1]
         left = init
         best_obj = np.inf
         best_left, best_right = left, np.zeros((n, left.shape[1]), dtype=left.dtype)
         history: List[float] = []
-        right_groups = groupings[0] if groupings is not None else None
-        left_groups = groupings[1] if groupings is not None else None
-        kernel = self._bind_kernel(m_arr, b_arr, init.shape[1])
         if ind is None:
             ind = b_arr.astype(m_arr.dtype)
+        kernel = (
+            _WorkspaceKernel(m_arr, b_arr, ind, self.lam, init.shape[1])
+            if self.mask_aware
+            else None
+        )
         residual = np.empty_like(m_arr)
         for _ in range(self.iterations):
-            right = self._solve_right(left, m_arr, b_arr, right_groups, kernel)
-            left = self._solve_left(right, m_arr, b_arr, left_groups, kernel)
+            if kernel is None:
+                right = _stacked_solve(left, m_arr, self.lam).T
+                left = _stacked_solve(right, m_arr.T, self.lam).T
+            else:
+                right = kernel.solve_right(left)
+                left = kernel.solve_left(right)
             obj = self._objective(left, right, m_arr, ind, residual)
             history.append(obj)
             if obj < best_obj:
@@ -435,72 +387,37 @@ class CompressiveSensingCompleter:
         return best_obj, best_left, best_right, history
 
     # ------------------------------------------------------------------
-    # Inner solvers
-    # ------------------------------------------------------------------
-    def _masked_solver(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]:
-        if self.solver == "batched":
-            return _ridge_by_column_batched
-        if self.solver == "grouped":
-            return _ridge_by_column_grouped
-        return _ridge_by_column
-
     def work_dtype(self, input_dtype: np.dtype) -> np.dtype:
         """Resolve the dtype the ALS sweep will run in.
 
         Explicit ``dtype=`` wins; otherwise a float32 input is honored
-        and everything else runs in float64.  Exposed so streaming
-        callers can cast warm-start factors consistently.
+        and everything else (float64, integers, lower-precision floats)
+        runs in float64.
         """
-        return self._backend.resolve_dtype(self.dtype, input_dtype)
+        if self.dtype is not None:
+            return self.dtype
+        if np.dtype(input_dtype) == np.dtype(np.float32):
+            return np.dtype(np.float32)
+        return np.dtype(np.float64)
 
-    def _bind_kernel(
-        self, m_arr: np.ndarray, b_arr: np.ndarray, rank: int
-    ) -> Optional[BoundKernel]:
-        """Bind the configured backend's solve kernel to one ALS run.
+    @shapes("m n", "m n:bool")
+    def _to_work_dtype(self, m_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
+        """Cast ``M`` to the working dtype; its observed cells must stay finite.
 
-        Returns ``None`` for the default ``"numpy"`` backend, which
-        keeps the legacy ``solver=`` dispatch (batched/grouped/loop and
-        the non-mask-aware stacked solve) untouched.
+        A float64 measurement beyond float32's range passes every
+        float64 input check and only becomes ``inf`` in this cast, after
+        which the sweep would return a non-finite estimate.  Both
+        :meth:`complete` and the warm-started streaming/sharded solves
+        enter Algorithm 1 through here, so the check covers all of them.
         """
-        if self._backend.name == "numpy":
-            return None
-        return self._backend.bind(m_arr, b_arr, self.lam, rank)
-
-    @shapes("m r", "m n", "m n:bool")
-    def _solve_right(
-        self,
-        left: np.ndarray,
-        m_arr: np.ndarray,
-        b_arr: np.ndarray,
-        groups: Optional["_MaskGroups"] = None,
-        kernel: Optional[BoundKernel] = None,
-    ) -> np.ndarray:
-        """R <- argmin of Eq. 16 with L fixed."""
-        if kernel is not None:
-            return kernel.solve_right(left)
-        if self.mask_aware:
-            if groups is not None:
-                return groups.apply(left, m_arr, b_arr, self.lam)
-            return self._masked_solver()(left, m_arr, b_arr, self.lam)
-        return _stacked_solve(left, m_arr, self.lam).T
-
-    @shapes("n r", "m n", "m n:bool")
-    def _solve_left(
-        self,
-        right: np.ndarray,
-        m_arr: np.ndarray,
-        b_arr: np.ndarray,
-        groups: Optional["_MaskGroups"] = None,
-        kernel: Optional[BoundKernel] = None,
-    ) -> np.ndarray:
-        """L <- argmin of Eq. 16 with R fixed (by transposition symmetry)."""
-        if kernel is not None:
-            return kernel.solve_left(right)
-        if self.mask_aware:
-            if groups is not None:
-                return groups.apply(right, m_arr.T, b_arr.T, self.lam)
-            return self._masked_solver()(right, m_arr.T, b_arr.T, self.lam)
-        return _stacked_solve(right, m_arr.T, self.lam).T
+        with np.errstate(over="ignore"):
+            m_arr = np.asarray(m_arr, dtype=self.work_dtype(m_arr.dtype))
+        if not np.isfinite(m_arr[b_arr]).all():
+            raise ValueError(
+                f"observed measurements must be finite in the working dtype "
+                f"{m_arr.dtype}"
+            )
+        return m_arr
 
     @effects("pure")
     @hot_path
@@ -520,7 +437,7 @@ class CompressiveSensingCompleter:
         gather of the observed coordinates even at the paper's 20%
         integrity — fancy indexing pays per-element overhead that the
         contiguous kernels do not — and in float32 the whole pass moves
-        half the bytes, which is where the float32 backends earn their
+        half the bytes, which is where float32 runs earn their
         wall-clock win (the solves alone are too small to dominate).
         """
         # The residual buffer is caller-owned per ALS run; writing into
@@ -547,148 +464,152 @@ def _stacked_solve(p_top: np.ndarray, q_top: np.ndarray, lam: float) -> np.ndarr
     return np.linalg.solve(gram, p_top.T @ q_top)
 
 
-@effects("pure")
-@hot_path
-def _ridge_by_column(
-    factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
-) -> np.ndarray:
-    """Mask-aware ridge solve for the other factor, column by column.
+class _WorkspaceKernel:
+    """The mask-aware ridge solve of Eq. 15, bound to one ALS run.
 
-    For each column ``j`` of ``M``, with ``I`` the observed rows:
+    For each column ``j`` of ``M``, with ``F`` the fixed factor,
 
-        (F_I^T F_I + lam I_r) x_j = F_I^T M_{I,j}
+        G_j = F^T diag(B_{:, j}) F + lam I_r,    G_j x_j = F^T M_{:, j}.
 
-    An entirely unobserved column yields the zero vector (the ridge term
-    keeps the system non-singular).  This is the reference
-    implementation (``solver="loop"``); the vectorized solvers below are
-    tested for numerical equivalence against it.
-    """
-    m, r = factor.shape
-    n = m_arr.shape[1]
-    out = np.zeros((n, r), dtype=factor.dtype)
-    eye = lam * np.eye(r, dtype=factor.dtype)
-    for j in range(n):
-        rows = b_arr[:, j]
-        if not rows.any():
-            continue
-        f = factor[rows]
-        gram = f.T @ f + eye
-        out[j] = np.linalg.solve(gram, f.T @ m_arr[rows, j])
-    return out
+    ``solve_right`` solves the ``n`` column systems given ``L`` (m x r)
+    and returns ``R`` (n x r); ``solve_left`` solves the ``m`` row
+    systems given ``R``.  Binding hoists every per-problem invariant
+    out of the sweep: the indicator cast, both orientations of ``B`` and
+    ``M``, the ``lam I`` ridge, and the Gram/RHS/output buffers, which
+    are reused across every sweep and both factor updates.  A sweep
+    then performs exactly one outer-product write, one GEMM into the
+    Gram stack, one GEMM into the RHS, and the solve.
 
+    ``m_arr`` must already be in the working dtype with unobserved cells
+    zeroed (Algorithm 1 guarantees both on entry): the RHS GEMM reads
+    every cell.  ``ind`` is ``b_arr`` cast to that dtype; it is only
+    read, so concurrent restarts may share it.
 
-@effects("pure")
-@hot_path
-def _ridge_by_column_batched(
-    factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
-) -> np.ndarray:
-    """Vectorized mask-aware ridge solve: all columns in one shot.
+    For ``rank <= 2`` with ``lam > 0`` the stacked systems are solved
+    in closed form (Cramer's rule) directly into the output buffer; the
+    ridge makes every ``G_j`` symmetric positive definite with
+    ``det(G_j) >= lam**rank > 0``, so the division is safe.  Larger
+    ranks use one batched LAPACK ``gesv``.  With ``lam == 0`` an
+    entirely unobserved column has a singular Gram matrix; it is left
+    out of the solve and its factor row is zero.
 
-    Builds every Gram matrix at once,
-
-        G_j = F^T diag(B_{:, j}) F + lam I_r
-            = einsum('ij,ik,il->jkl', B, F, F) + lam I_r,
-
-    the right-hand sides via one masked matmul ``F^T (B .x M)``, and
-    solves the whole ``(n, r, r)`` stack with a single batched
-    ``np.linalg.solve``.  No Python-level loop remains; the work happens
-    in one optimized einsum (internally a GEMM over the r*r outer
-    products) plus one batched LAPACK ``gesv``.
-
-    With ``lam > 0`` an entirely unobserved column has ``G_j = lam I``
-    and a zero right-hand side, so it solves to the zero vector exactly
-    as the loop reference skips it.  With ``lam == 0`` those singular
-    systems are excluded from the stack explicitly.
-
-    ``m_arr`` must be zero on unobserved cells (Algorithm 1 zeroes its
-    input once on entry); the loop and grouped solvers never read those
-    cells, so the precondition keeps all three interchangeable.
-    """
-    m, r = factor.shape
-    n = m_arr.shape[1]
-    indicator = b_arr.astype(factor.dtype)
-    # The einsum above contracted through one GEMM: stack the r*r outer
-    # products of F's rows as an (m, r*r) matrix and left-multiply by
-    # B^T.  (Equivalent to np.einsum(..., optimize=True), minus the
-    # per-call contraction-path dispatch that dominates at small r.)
-    pairs = (factor[:, :, None] * factor[:, None, :]).reshape(m, r * r)
-    grams = (indicator.T @ pairs).reshape(n, r, r)
-    grams += lam * np.eye(r, dtype=factor.dtype)
-    rhs = factor.T @ m_arr  # (r, n); unobserved cells are zero
-    if lam > 0:
-        solved: np.ndarray = np.linalg.solve(grams, rhs.T[:, :, None])[:, :, 0]
-        return solved
-    out = np.zeros((n, r), dtype=factor.dtype)
-    observed_cols = np.flatnonzero(b_arr.any(axis=0))
-    if observed_cols.size:
-        out[observed_cols] = np.linalg.solve(
-            grams[observed_cols], rhs.T[observed_cols, :, None]
-        )[:, :, 0]
-    return out
-
-
-class _MaskGroups:
-    """Columns of a mask grouped by identical observation pattern.
-
-    Columns of ``M`` observed on the same set of rows share one Gram
-    matrix, so each unique mask pattern needs a single factorization and
-    a multi-RHS solve.  Discovering the patterns is the expensive part —
-    the mask never changes inside Algorithm 1, so this class does it
-    exactly once (on bit-packed columns, 8 rows per compared byte) and
-    :meth:`apply` reuses the grouping every sweep.
-
-    Structured missingness (whole slots or segments dropped, the common
-    TCM case) collapses to a handful of groups; on an unstructured mask
-    the group count approaches the column count and per-group solves
-    lose to one batched stacked solve, so :meth:`apply` delegates to the
-    batched kernel whenever grouping is not clearly profitable.
+    The returned factor may be a view of an internal buffer that the
+    next call on the same side overwrites, and a kernel must stay on
+    one thread (Algorithm 1 binds one per ALS run).
     """
 
-    def __init__(self, b_arr: np.ndarray) -> None:
-        self.num_columns = b_arr.shape[1]
-        packed = np.packbits(b_arr, axis=0)
-        _, inverse = np.unique(packed, axis=1, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
-        col_groups = np.split(order, boundaries) if order.size else []
-        self.groups: List[Tuple[np.ndarray, np.ndarray]] = [
-            (b_arr[:, cols[0]].copy(), cols) for cols in col_groups
-        ]
-        # One factorization per pattern only beats the batched kernel
-        # when patterns are much scarcer than columns.
-        self.profitable = len(self.groups) <= max(8, self.num_columns // 8)
+    def __init__(
+        self,
+        m_arr: np.ndarray,
+        b_arr: np.ndarray,
+        ind: np.ndarray,
+        lam: float,
+        rank: int,
+    ) -> None:
+        m, n = m_arr.shape
+        dtype = m_arr.dtype
+        self._lam = lam
+        self._m = m_arr
+        self._m_t = np.ascontiguousarray(m_arr.T)
+        # Columns / rows with at least one observation: the only systems
+        # the lam == 0 solve may hand to LAPACK.
+        self._observed_cols = np.flatnonzero(b_arr.any(axis=0))
+        self._observed_rows = np.flatnonzero(b_arr.any(axis=1))
+        self._ind = ind
+        self._ind_t = np.ascontiguousarray(ind.T)
+        self._lam_eye = lam * np.eye(rank, dtype=dtype)
+        # Reusable buffers.  pairs_* holds the r*r outer products of the
+        # fixed factor's rows; grams_* and rhs_* receive the GEMMs; the
+        # out_* factor buffers receive the closed-form solves.
+        self._pairs_m = np.empty((m, rank * rank), dtype=dtype)
+        self._pairs_n = np.empty((n, rank * rank), dtype=dtype)
+        self._grams_n = np.empty((n, rank, rank), dtype=dtype)
+        self._grams_m = np.empty((m, rank, rank), dtype=dtype)
+        self._rhs_n = np.empty((rank, n), dtype=dtype)
+        self._rhs_m = np.empty((rank, m), dtype=dtype)
+        self._out_n = np.empty((n, rank), dtype=dtype)
+        self._out_m = np.empty((m, rank), dtype=dtype)
 
     @effects("pure")
     @hot_path
-    def apply(
-        self, factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
+    def _solve_side(
+        self,
+        factor: np.ndarray,
+        m_side: np.ndarray,
+        observed: np.ndarray,
+        ind_gram: np.ndarray,
+        pairs: np.ndarray,
+        grams: np.ndarray,
+        rhs: np.ndarray,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """Grouped mask-aware ridge solve (batched when unprofitable)."""
-        if not self.profitable:
-            return _ridge_by_column_batched(factor, m_arr, b_arr, lam)
-        r = factor.shape[1]
-        out = np.zeros((self.num_columns, r), dtype=factor.dtype)
-        eye = lam * np.eye(r, dtype=factor.dtype)
-        for rows, cols in self.groups:
-            if not rows.any():
-                continue
-            f = factor[rows]
-            gram = f.T @ f + eye
-            rhs = f.T @ m_arr[np.ix_(rows, cols)]
-            out[cols] = np.linalg.solve(gram, rhs).T
-        return out
+        """One factor update using the preallocated workspace.
 
+        ``ind_gram`` is the indicator oriented so that
+        ``ind_gram @ pairs`` stacks the Gram matrices of ``m_side``'s
+        columns, ``observed`` indexes those columns that hold an
+        observation, and ``pairs``/``grams``/``rhs``/``out`` are this
+        side's buffers.
+        """
+        k, r = factor.shape
+        cols = m_side.shape[1]
+        np.multiply(
+            factor[:, :, None],
+            factor[:, None, :],
+            out=pairs.reshape(k, r, r),
+        )
+        np.matmul(ind_gram, pairs, out=grams.reshape(cols, r * r))
+        # Writing the ridge into the preallocated Gram buffer is the
+        # point of the workspace kernel (no fresh allocation per sweep).
+        # repro-lint: disable-next-line=param-mutation
+        grams += self._lam_eye
+        np.matmul(factor.T, m_side, out=rhs)
+        if self._lam > 0 and r <= 2:
+            # Closed-form SPD solve; det >= lam**r keeps it non-singular.
+            if r == 1:
+                np.divide(rhs[0], grams[:, 0, 0], out=out[:, 0])
+                return out
+            a = grams[:, 0, 0]
+            b = grams[:, 0, 1]
+            c = grams[:, 1, 0]
+            d = grams[:, 1, 1]
+            det = a * d - b * c
+            np.divide(d * rhs[0] - b * rhs[1], det, out=out[:, 0])
+            np.divide(a * rhs[1] - c * rhs[0], det, out=out[:, 1])
+            return out
+        if self._lam > 0:
+            solved: np.ndarray = np.linalg.solve(grams, rhs.T[:, :, None])[:, :, 0]
+            return solved
+        # lam == 0: exclude the singular all-unobserved columns.
+        zeros = np.zeros((cols, r), dtype=factor.dtype)
+        if observed.size:
+            zeros[observed] = np.linalg.solve(
+                grams[observed], rhs.T[observed, :, None]
+            )[:, :, 0]
+        return zeros
 
-@effects("pure")
-@hot_path
-def _ridge_by_column_grouped(
-    factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
-) -> np.ndarray:
-    """Mask-aware ridge solve grouped by identical mask pattern.
+    def solve_right(self, left: np.ndarray) -> np.ndarray:
+        """``R`` given ``L``: the ``n`` column systems of ``M``."""
+        return self._solve_side(
+            left,
+            self._m,
+            self._observed_cols,
+            self._ind_t,
+            self._pairs_m,
+            self._grams_n,
+            self._rhs_n,
+            self._out_n,
+        )
 
-    Standalone entry point that derives the grouping on the fly; inside
-    Algorithm 1 the grouping is hoisted out of the sweep loop via
-    :class:`_MaskGroups` instead.
-    """
-    return _MaskGroups(b_arr).apply(factor, m_arr, b_arr, lam)
+    def solve_left(self, right: np.ndarray) -> np.ndarray:
+        """``L`` given ``R``: the ``m`` row systems (columns of ``M^T``)."""
+        return self._solve_side(
+            right,
+            self._m_t,
+            self._observed_rows,
+            self._ind,
+            self._pairs_n,
+            self._grams_m,
+            self._rhs_m,
+            self._out_m,
+        )

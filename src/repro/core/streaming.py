@@ -31,6 +31,7 @@ a freshly stacked indicator matrix at every slot close.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -92,11 +93,10 @@ class WindowCompleter:
         Algorithm 1 parameters.
     warm_iterations, cold_iterations:
         ALS sweeps for warm-started updates vs the first (cold) solve.
-    backend, dtype:
-        Solver backend and working dtype, forwarded to
-        :class:`CompressiveSensingCompleter`.  Warm-start factors are
-        kept in the backend's working dtype across windows, so a
-        float32 stream never silently re-promotes to float64.
+    dtype:
+        Working dtype, forwarded to :class:`CompressiveSensingCompleter`.
+        Warm-start factors are kept in the working dtype across windows,
+        so a float32 stream never silently re-promotes to float64.
     rng:
         Seed source for the per-recompletion completer seeds.  Each
         tile owns an independent generator, so per-shard draw order is
@@ -111,7 +111,6 @@ class WindowCompleter:
         lam: float = PAPER_LAMBDA,
         warm_iterations: int = 8,
         cold_iterations: int = 60,
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         rng: SeedLike = None,
     ) -> None:
@@ -127,14 +126,11 @@ class WindowCompleter:
         self.lam = lam
         self.warm_iterations = warm_iterations
         self.cold_iterations = cold_iterations
-        self.backend = backend
         self.dtype = dtype
-        # Validate backend/dtype eagerly (same checks the completer
-        # applies) so a bad configuration fails at construction, not at
-        # the first slot close.
-        CompressiveSensingCompleter(
-            rank=rank, lam=lam, iterations=1, backend=backend, dtype=dtype
-        )
+        # Validate the dtype eagerly (same check the completer applies)
+        # so a bad configuration fails at construction, not at the first
+        # slot close.
+        CompressiveSensingCompleter(rank=rank, lam=lam, iterations=1, dtype=dtype)
         self._rng = ensure_rng(rng)
         #: Set False to force every re-completion onto the cold path
         #: (used by the streaming study's warm-vs-cold comparison).
@@ -244,7 +240,6 @@ class WindowCompleter:
             rank=self.rank,
             lam=self.lam,
             iterations=iterations,
-            backend=self.backend,
             dtype=self.dtype,
             seed=int(self._rng.integers(0, 2**63 - 1)),
         )
@@ -276,9 +271,8 @@ class StreamingEstimator:
         ALS sweeps for warm-started updates vs the first (cold) solve.
     min_speed_kmh:
         Idle-report filter threshold, as in batch aggregation.
-    backend, dtype:
-        Solver backend and working dtype, forwarded to
-        :class:`CompressiveSensingCompleter`.
+    dtype:
+        Working dtype, forwarded to :class:`CompressiveSensingCompleter`.
     """
 
     def __init__(
@@ -292,7 +286,6 @@ class StreamingEstimator:
         warm_iterations: int = 8,
         cold_iterations: int = 60,
         min_speed_kmh: float = 2.0,
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         seed: SeedLike = None,
     ) -> None:
@@ -309,7 +302,6 @@ class StreamingEstimator:
         self.warm_iterations = warm_iterations
         self.cold_iterations = cold_iterations
         self.min_speed_kmh = min_speed_kmh
-        self.backend = backend
         self.dtype = dtype
         self._window = WindowCompleter(
             num_columns=len(self.segment_ids),
@@ -318,7 +310,6 @@ class StreamingEstimator:
             lam=lam,
             warm_iterations=warm_iterations,
             cold_iterations=cold_iterations,
-            backend=backend,
             dtype=dtype,
             rng=ensure_rng(seed),
         )
@@ -335,8 +326,14 @@ class StreamingEstimator:
         """Feed one report; returns estimates for any slots that closed.
 
         Reports must arrive in (approximately) non-decreasing time order;
-        a report for an already-closed slot is dropped (late data).
+        a report for an already-closed slot is dropped (late data).  A
+        report whose time is not finite has no slot: it is dropped
+        without moving the stream clock and counted as
+        ``stream.rejected_time``.
         """
+        if not math.isfinite(report.time_s):
+            obs_metrics.inc("stream.rejected_time")
+            return []
         slot = int((report.time_s - self.start_s) // self.slot_s)
         if slot < self._current_slot:
             return []  # late report for a closed slot
@@ -349,7 +346,11 @@ class StreamingEstimator:
     def ingest_many(self, reports: Sequence[ProbeReport]) -> List[SlotEstimate]:
         """Feed a chronologically sorted batch of reports."""
         closed: List[SlotEstimate] = []
-        for report in sorted(reports, key=lambda r: r.time_s):
+        # Non-finite times sort last (ingest drops them); a NaN key
+        # would otherwise break the order of the finite ones.
+        for report in sorted(
+            reports, key=lambda r: (not math.isfinite(r.time_s), r.time_s)
+        ):
             closed.extend(self.ingest(report))
         return closed
 
@@ -416,30 +417,18 @@ def _warm_complete(
 ) -> CompletionResult:
     """Run ALS sweeps starting from a provided left factor.
 
-    Mirrors :meth:`CompressiveSensingCompleter.complete` but replaces the
-    random initialization (pseudocode line 1) with ``warm_left``.  The
-    sweep runs in the completer's working dtype: measurements and the
-    warm factor are cast on entry, and the returned factors stay in
-    that dtype so the next window warm-starts without re-promotion.
+    The completer's own sweep loop with the random initialization
+    (pseudocode line 1) replaced by ``warm_left``.  The sweep runs in
+    the completer's working dtype: measurements and the warm factor are
+    cast on entry, and the returned factors stay in that dtype so the
+    next window warm-starts without re-promotion.  ``m_arr`` must be
+    zero on unobserved cells.
     """
-    work_dtype = completer.work_dtype(m_arr.dtype)
-    m_arr = np.ascontiguousarray(m_arr, dtype=work_dtype)
-    left = warm_left.astype(work_dtype, copy=True)
-    kernel = completer._bind_kernel(m_arr, b_arr, left.shape[1])
-    ind = b_arr.astype(work_dtype)
-    residual = np.empty_like(m_arr)
-    best_obj = np.inf
-    best_left, best_right = left, np.zeros(
-        (m_arr.shape[1], left.shape[1]), dtype=work_dtype
+    m_arr = completer._to_work_dtype(m_arr, b_arr)
+    left = warm_left.astype(m_arr.dtype, copy=True)
+    best_obj, best_left, best_right, history = completer._run_als(
+        m_arr, b_arr, left
     )
-    history = []
-    for _ in range(completer.iterations):
-        right = completer._solve_right(left, m_arr, b_arr, kernel=kernel)
-        left = completer._solve_left(right, m_arr, b_arr, kernel=kernel)
-        obj = completer._objective(left, right, m_arr, ind, residual)
-        history.append(obj)
-        if obj < best_obj:
-            best_obj, best_left, best_right = obj, left.copy(), right.copy()
     estimate = best_left @ best_right.T
     if completer.clip_min is not None or completer.clip_max is not None:
         estimate = np.clip(estimate, completer.clip_min, completer.clip_max)

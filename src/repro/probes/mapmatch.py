@@ -7,7 +7,7 @@ metropolitan-scale networks (thousands of segments, millions of fixes).
 GPS error in urban canyons can exceed the matching radius, in which case
 the fix is discarded (returned as ``-1``) rather than mis-attributed.
 
-Three implementations share the same semantics:
+Two implementations share the same semantics:
 
 * the **scalar** path (:meth:`MapMatcher.match_point`) — one ring search
   per report, kept as the readable reference;
@@ -18,18 +18,11 @@ Three implementations share the same semantics:
   pair at once.  Candidate order, the distance gate, heading penalties,
   and first-wins tie-breaking replicate the scalar loop exactly, so both
   paths return identical segment ids (enforced by property tests and the
-  ``repro bench`` ingestion suite);
-* the **jit** path (``method="jit"``) — the same cell grouping, but each
-  group's ring search runs in a numba-compiled scalar loop instead of a
-  broadcast score matrix, avoiding the (reports x candidates) temporary.
-  It requires the optional ``jit`` extra and *falls back to the
-  vectorized path* when numba is absent, so ``method="jit"`` is always
-  safe to request.
+  ``repro bench`` ingestion suite).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
@@ -44,64 +37,7 @@ from repro.roadnet.network import RoadNetwork
 from repro.probes.report import ReportBatch
 from repro.utils.validation import check_positive
 
-MATCH_METHODS = ("vectorized", "scalar", "jit")
-
-# Compiled numba ring-search kernel, memoized after the first build so
-# the JIT cost is paid once per process.  Kept in a list (not None) so
-# the cache write is a single append — safe under concurrent first use.
-_NUMBA_MATCH_CACHE: List[object] = []
-
-
-def jit_match_available() -> bool:
-    """Whether the numba-compiled matching kernel can be built."""
-    return importlib.util.find_spec("numba") is not None
-
-
-def _numba_match_factory() -> object:  # pragma: no cover - requires numba
-    """Build (once) the numba kernel scoring one cell group scalar-style."""
-    if _NUMBA_MATCH_CACHE:
-        return _NUMBA_MATCH_CACHE[0]
-    import numba  # type: ignore[import-not-found]
-
-    @numba.njit(cache=True)  # type: ignore[misc]
-    def score_group(  # type: ignore[no-untyped-def]
-        px, py, heads, ax, ay, vx, vy, len_sq, course, max_dist, penalty
-    ):
-        n = px.shape[0]
-        k = ax.shape[0]
-        best = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            best_score = np.inf
-            for j in range(k):
-                if len_sq[j] > 0.0:
-                    t = (
-                        (px[i] - ax[j]) * vx[j] + (py[i] - ay[j]) * vy[j]
-                    ) / len_sq[j]
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                else:
-                    t = 0.0
-                dist = np.hypot(
-                    px[i] - (ax[j] + t * vx[j]), py[i] - (ay[j] + t * vy[j])
-                )
-                if dist > max_dist:
-                    continue
-                cost = 0.0
-                if not np.isnan(heads[i]):
-                    diff = abs(course[j] - heads[i]) % 360.0
-                    if diff > 360.0 - diff:
-                        diff = 360.0 - diff
-                    cost = penalty * diff / 180.0
-                score = dist + cost
-                if score < best_score:
-                    best[i] = j
-                    best_score = score
-        return best
-
-    _NUMBA_MATCH_CACHE.append(score_group)
-    return score_group
+MATCH_METHODS = ("vectorized", "scalar")
 
 
 def derive_cell_m(
@@ -457,88 +393,8 @@ class MapMatcher:
             obs_metrics.inc("mapmatch.matched", int(np.count_nonzero(out >= 0)))
         return out
 
-    @hot_path
-    def match_arrays_jit(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        headings_deg: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Numba-compiled :meth:`match_arrays` (same grouping, scalar scoring).
-
-        Each cell group's ring search runs inside a JIT-compiled loop —
-        no (reports x candidates) score matrix is materialized.  The
-        arithmetic mirrors :meth:`_score_candidates` operation for
-        operation, so matches are identical to both other paths.
-        Raises :class:`ImportError` when numba is absent; use
-        ``match_batch(..., method="jit")`` for the graceful fallback.
-        """
-        if not jit_match_available():
-            raise ImportError(
-                "match_arrays_jit requires the 'numba' module "
-                "(pip install repro[jit])"
-            )
-        kernel = _numba_match_factory()
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("xs and ys must be 1-D arrays of equal length")
-        if headings_deg is not None:
-            heads_all = np.ascontiguousarray(headings_deg, dtype=np.float64)
-            if heads_all.shape != xs.shape:
-                raise ValueError("headings_deg must match xs/ys length")
-        else:
-            heads_all = np.full(xs.shape[0], np.nan, dtype=np.float64)
-        out = np.full(xs.shape[0], -1, dtype=np.int64)
-        if xs.size == 0:
-            return out
-
-        with obs_trace.span("ingest.match_jit", reports=int(xs.size)):
-            cxs, cys = self.index.cell_coords(xs, ys)
-            order = np.lexsort((cys, cxs))
-            scx, scy = cxs[order], cys[order]
-            changed = (scx[1:] != scx[:-1]) | (scy[1:] != scy[:-1])
-            starts = np.concatenate(
-                ([0], np.flatnonzero(changed) + 1, [order.size])
-            )
-            for g in range(starts.size - 1):
-                idx = order[starts[g] : starts[g + 1]]
-                cx, cy = int(scx[starts[g]]), int(scy[starts[g]])
-                pending = idx
-                for rings in (1, 2):
-                    if pending.size == 0:
-                        break
-                    rows = self._candidate_rows(cx, cy, rings)
-                    if rows.size == 0:
-                        continue
-                    best = kernel(  # type: ignore[operator]
-                        np.ascontiguousarray(xs[pending]),
-                        np.ascontiguousarray(ys[pending]),
-                        np.ascontiguousarray(heads_all[pending]),
-                        np.ascontiguousarray(self._ax[rows]),
-                        np.ascontiguousarray(self._ay[rows]),
-                        np.ascontiguousarray(self._vx[rows]),
-                        np.ascontiguousarray(self._vy[rows]),
-                        np.ascontiguousarray(self._len_sq[rows]),
-                        np.ascontiguousarray(self._course_arr[rows]),
-                        float(self.max_distance_m),
-                        float(self.heading_penalty_m),
-                    )
-                    matched = best >= 0
-                    if matched.any():
-                        out[pending[matched]] = self._sorted_ids[
-                            rows[best[matched]]
-                        ]
-                    pending = pending[~matched]
-        return out
-
     def match_batch(self, batch: ReportBatch, method: str = "vectorized") -> ReportBatch:
-        """Match every report's (x, y) [+ heading]; unmatched keep ``-1``.
-
-        ``method="jit"`` uses the numba-compiled ring search when the
-        ``jit`` extra is installed and silently degrades to the
-        vectorized path (identical matches) when it is not.
-        """
+        """Match every report's (x, y) [+ heading]; unmatched keep ``-1``."""
         if method not in MATCH_METHODS:
             raise ValueError(
                 f"method must be one of {MATCH_METHODS}, got {method!r}"
@@ -551,10 +407,7 @@ class MapMatcher:
                 for r in batch
             ]
             return batch.with_matched_segments(matched)
-        if method == "jit" and jit_match_available():
-            ids = self.match_arrays_jit(batch.xs, batch.ys, batch.headings_deg)
-        else:
-            ids = self.match_arrays(batch.xs, batch.ys, batch.headings_deg)
+        ids = self.match_arrays(batch.xs, batch.ys, batch.headings_deg)
         return batch.with_matched_segments(ids)
 
     def match_rate(self, batch: ReportBatch) -> float:

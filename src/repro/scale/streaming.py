@@ -20,6 +20,7 @@ million-report benchmark drives.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -56,8 +57,8 @@ class ShardedStreamingEstimator:
         Per-shard completion budgets, as in :class:`WindowCompleter`.
     min_speed_kmh:
         Idle-report filter threshold.
-    backend, dtype:
-        Solver backend and working dtype for every shard's completer.
+    dtype:
+        Working dtype for every shard's completer.
     seed:
         Root seed; per-shard RNG streams are spawned from it, so each
         shard's draw sequence is independent of every other shard's
@@ -78,7 +79,6 @@ class ShardedStreamingEstimator:
         warm_iterations: int = 8,
         cold_iterations: int = 60,
         min_speed_kmh: float = 2.0,
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         seed: SeedLike = None,
     ) -> None:
@@ -114,7 +114,6 @@ class ShardedStreamingEstimator:
                 lam=lam,
                 warm_iterations=warm_iterations,
                 cold_iterations=cold_iterations,
-                backend=backend,
                 dtype=dtype,
                 rng=rng,
             )
@@ -136,7 +135,14 @@ class ShardedStreamingEstimator:
     # ------------------------------------------------------------------
     @shapes(ProbeReport)
     def ingest(self, report: ProbeReport) -> List[SlotEstimate]:
-        """Feed one report; returns estimates for any slots that closed."""
+        """Feed one report; returns estimates for any slots that closed.
+
+        A report whose time is not finite is dropped without moving the
+        stream clock and counted as ``stream.rejected_time``.
+        """
+        if not math.isfinite(report.time_s):
+            obs_metrics.inc("stream.rejected_time")
+            return []
         slot = int((report.time_s - self.start_s) // self.slot_s)
         if slot < self._current_slot:
             return []  # late report for a closed slot
@@ -163,13 +169,20 @@ class ShardedStreamingEstimator:
         searchsorted column lookup, one slot assignment, then a bincount
         accumulation per distinct slot in the batch.  Slots close in
         order as the stream advances past them, exactly as with
-        report-at-a-time :meth:`ingest`.
+        report-at-a-time :meth:`ingest`; as there, reports whose time is
+        not finite are dropped before slot assignment.
         """
         if not len(batch):
             return []
         times = batch.times_s
         speeds = batch.speeds_kmh
         segs = batch.segment_ids
+        timed = np.isfinite(times)
+        if not timed.all():
+            obs_metrics.inc("stream.rejected_time", int(np.count_nonzero(~timed)))
+            times, speeds, segs = times[timed], speeds[timed], segs[timed]
+            if not times.size:
+                return []
         # ReportBatch guarantees time order, so slots are non-decreasing.
         slots = ((times - self.start_s) // self.slot_s).astype(np.int64)
         keep = (segs >= 0) & (speeds >= self.min_speed_kmh)

@@ -1,42 +1,30 @@
-"""Tests for the solver-backend registry (repro.core.backends).
+"""Tests for Algorithm 1's mask-aware solve kernel and its working dtypes.
 
 Three layers:
 
-* registry units — names, lookup errors, availability hints, dtype
-  resolution;
-* numerical equivalence — every backend must reproduce the default
-  numpy estimate (float64 within the bench tolerance, float32 within
-  ``FLOAT32_RTOL`` relative to the reference's magnitude);
-* integration — completer/streaming dtype plumbing, the map-matching
-  jit method, and the ``repro backends`` CLI verb.
-
-The numba and CuPy tests are guarded with ``pytest.importorskip`` so
-the default tier-1 run stays green without the optional extras; CI's
-jit-extra leg installs numba and runs them for real.
+* kernel equivalence — :class:`repro.core.completion._WorkspaceKernel`
+  against the per-column loop oracle (``tests/oracles.py``): float64
+  within 1e-8, float32 within ``FLOAT32_RTOL`` relative to the oracle's
+  magnitude;
+* completion — dtype resolution and validation, float32 against
+  float64, the closed-form and ``gesv`` rank regimes, and repeat runs;
+* streaming — the warm-started solve runs the completer's own sweeps
+  and keeps the working dtype across windows.
 """
-
-import importlib.util
 
 import numpy as np
 import pytest
 
-from repro.cli import main
-from repro.core.backends import (
+from repro.core.completion import (
     FLOAT32_RTOL,
-    BackendUnavailable,
-    SolverBackend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-    register_backend,
+    SUPPORTED_DTYPES,
+    CompressiveSensingCompleter,
+    _WorkspaceKernel,
 )
-from repro.core.completion import CompressiveSensingCompleter
-from repro.core.streaming import StreamingEstimator
-from repro.probes.mapmatch import MapMatcher, jit_match_available
-from repro.probes.report import ProbeReport, ReportBatch
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-HAVE_CUPY = importlib.util.find_spec("cupy") is not None
+from repro.core.streaming import StreamingEstimator, _warm_complete
+from repro.probes.report import ProbeReport
+from repro.utils.rng import ensure_rng
+from tests.oracles import loop_oracle, ridge_by_column
 
 
 def toy_problem(seed=0, shape=(40, 24), density=0.45):
@@ -51,215 +39,187 @@ def toy_problem(seed=0, shape=(40, 24), density=0.45):
     return values, mask
 
 
-def complete_with(backend, dtype=None, lam=10.0, rank=2, **overrides):
+def complete_with(dtype=None, lam=10.0, rank=2, **overrides):
     values, mask = toy_problem()
-    params = dict(
-        rank=rank,
-        lam=lam,
-        iterations=30,
-        restarts=2,
-        seed=7,
-        backend=backend,
-        dtype=dtype,
-    )
+    params = dict(rank=rank, lam=lam, iterations=30, restarts=2, seed=7, dtype=dtype)
     params.update(overrides)
-    completer = CompressiveSensingCompleter(**params)
-    return completer.complete(values, mask)
+    return CompressiveSensingCompleter(**params).complete(values, mask)
 
 
 @pytest.fixture(scope="module")
 def reference_estimate():
-    """The default numpy/float64 estimate all backends must reproduce."""
-    return complete_with("numpy").estimate
+    """The float64 estimate computed on the loop oracle."""
+    with loop_oracle():
+        return complete_with().estimate
 
 
-# ----------------------------------------------------------------------
-# Registry units
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_registration_order_and_names(self):
-        assert backend_names() == ("numpy", "numpy-ws", "numba", "cupy")
-
-    def test_builtin_backends_always_available(self):
-        names = available_backend_names()
-        assert "numpy" in names and "numpy-ws" in names
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            get_backend("fortran")
-
-    def test_register_requires_name(self):
-        with pytest.raises(ValueError, match="non-empty name"):
-            register_backend(SolverBackend())
-
-    def test_availability_matches_find_spec(self):
-        assert get_backend("numba").is_available() == HAVE_NUMBA
-        assert get_backend("cupy").is_available() == HAVE_CUPY
-
-    def test_availability_hint_names_extra(self):
-        assert get_backend("numpy").availability_hint() == "built in"
-        hint = get_backend("numba").availability_hint()
-        assert "numba" in hint and "repro[jit]" in hint
-        hint = get_backend("cupy").availability_hint()
-        assert "cupy" in hint and "repro[gpu]" in hint
-
-    def test_resolve_dtype_explicit_wins(self):
-        backend = get_backend("numpy-ws")
-        resolved = backend.resolve_dtype(np.dtype(np.float32), np.dtype(np.float64))
-        assert resolved == np.dtype(np.float32)
-
-    def test_resolve_dtype_honors_float32_input(self):
-        backend = get_backend("numpy-ws")
-        assert backend.resolve_dtype(None, np.dtype(np.float32)) == np.dtype(
-            np.float32
-        )
-
-    def test_resolve_dtype_defaults_to_float64(self):
-        backend = get_backend("numpy-ws")
-        for input_dtype in (np.float64, np.int64, np.float16):
-            assert backend.resolve_dtype(None, np.dtype(input_dtype)) == np.dtype(
-                np.float64
-            )
-
-    def test_resolve_dtype_rejects_unsupported(self):
-        backend = get_backend("numpy-ws")
-        with pytest.raises(ValueError, match="does not support dtype"):
-            backend.resolve_dtype(np.dtype(np.float16), np.dtype(np.float64))
-
-
-# ----------------------------------------------------------------------
-# Completer validation
-# ----------------------------------------------------------------------
-class TestCompleterValidation:
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            CompressiveSensingCompleter(rank=2, lam=1.0, backend="fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed; cannot test gating")
-    def test_missing_numba_raises_backend_unavailable(self):
-        with pytest.raises(BackendUnavailable, match="repro\\[jit\\]"):
-            CompressiveSensingCompleter(rank=2, lam=1.0, backend="numba")
-
-    @pytest.mark.skipif(HAVE_CUPY, reason="cupy installed; cannot test gating")
-    def test_missing_cupy_raises_backend_unavailable(self):
-        with pytest.raises(BackendUnavailable, match="repro\\[gpu\\]"):
-            CompressiveSensingCompleter(rank=2, lam=1.0, backend="cupy")
-
-    def test_mask_unaware_requires_numpy_backend(self):
-        with pytest.raises(ValueError, match="mask_aware"):
-            CompressiveSensingCompleter(
-                rank=2, lam=1.0, backend="numpy-ws", mask_aware=False
-            )
-
-    def test_solver_choice_requires_numpy_backend(self):
-        with pytest.raises(ValueError, match="inner solver"):
-            CompressiveSensingCompleter(
-                rank=2, lam=1.0, backend="numpy-ws", solver="grouped"
-            )
-
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ValueError, match="does not support dtype"):
-            CompressiveSensingCompleter(
-                rank=2, lam=1.0, backend="numpy-ws", dtype="float16"
-            )
-
-
-# ----------------------------------------------------------------------
-# Numerical equivalence
-# ----------------------------------------------------------------------
 def assert_float32_close(estimate, reference):
     scale = max(1.0, float(np.abs(reference).max()))
     diff = float(np.abs(estimate.astype(np.float64) - reference).max())
     assert diff <= FLOAT32_RTOL * scale
 
 
+# ----------------------------------------------------------------------
+# Kernel equivalence
+# ----------------------------------------------------------------------
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_loop_oracle(self, dtype, rank, lam):
+        values, mask = toy_problem()
+        # An all-unobserved column and row: singular at lam == 0, where
+        # the kernel must leave them out and return zero factor rows.
+        mask[:, 5] = False
+        mask[7, :] = False
+        measured = np.where(mask, values, 0.0)
+        rng = np.random.default_rng(rank)
+        left = rng.uniform(0.5, 1.5, size=(values.shape[0], rank))
+        right = rng.uniform(0.5, 1.5, size=(values.shape[1], rank))
+
+        kernel = _WorkspaceKernel(
+            measured.astype(dtype), mask, mask.astype(dtype), lam, rank
+        )
+        got_right = kernel.solve_right(left.astype(dtype))
+        got_left = kernel.solve_left(right.astype(dtype))
+        want_right = ridge_by_column(left, measured, mask, lam)
+        want_left = ridge_by_column(right, measured.T, mask.T, lam)
+
+        for got, want in ((got_right, want_right), (got_left, want_left)):
+            assert got.dtype == dtype
+            diff = float(np.abs(got.astype(np.float64) - want).max())
+            if dtype is np.float64:
+                assert diff <= 1e-8
+            else:
+                assert diff <= FLOAT32_RTOL * max(1.0, float(np.abs(want).max()))
+        assert not got_right[5].any() and not got_left[7].any()
+
+
+# ----------------------------------------------------------------------
+# Completion
+# ----------------------------------------------------------------------
+class TestWorkDtype:
+    def test_resolve_dtype_explicit_wins(self):
+        completer = CompressiveSensingCompleter(dtype=np.float32)
+        assert completer.work_dtype(np.dtype(np.float64)) == np.dtype(np.float32)
+
+    def test_resolve_dtype_honors_float32_input(self):
+        completer = CompressiveSensingCompleter()
+        assert completer.work_dtype(np.dtype(np.float32)) == np.dtype(np.float32)
+
+    def test_resolve_dtype_defaults_to_float64(self):
+        completer = CompressiveSensingCompleter()
+        for input_dtype in (np.float64, np.int64, np.float16):
+            assert completer.work_dtype(np.dtype(input_dtype)) == np.dtype(
+                np.float64
+            )
+
+
+class TestRegistry:
+    """``SUPPORTED_DTYPES`` is the one registry of working dtypes."""
+
+    def test_resolve_dtype_rejects_unsupported(self):
+        for dtype in ("float16", "int64", "complex128"):
+            assert np.dtype(dtype) not in SUPPORTED_DTYPES
+            with pytest.raises(ValueError, match="does not support dtype"):
+                CompressiveSensingCompleter(dtype=dtype)
+        for dtype in SUPPORTED_DTYPES:
+            completer = CompressiveSensingCompleter(dtype=dtype)
+            assert completer.work_dtype(np.dtype(np.float16)) == dtype
+
+
+class TestCompleterValidation:
+    def test_unsupported_dtype_rejected(self):
+        with pytest.raises(ValueError, match="does not support dtype"):
+            CompressiveSensingCompleter(rank=2, lam=1.0, dtype="float16")
+
+
 class TestWorkspaceEquivalence:
     def test_float64_matches_numpy(self, reference_estimate):
-        estimate = complete_with("numpy-ws").estimate
+        estimate = complete_with().estimate
         assert estimate.dtype == np.float64
         assert float(np.abs(estimate - reference_estimate).max()) <= 1e-8
 
     def test_float32_within_documented_tolerance(self, reference_estimate):
-        estimate = complete_with("numpy-ws", dtype="float32").estimate
+        estimate = complete_with(dtype="float32").estimate
+        assert estimate.dtype == np.float32
+        assert_float32_close(estimate, reference_estimate)
+
+    def test_numpy_backend_supports_float32(self, reference_estimate):
+        # The per-column NumPy loop itself runs in float32 and stays
+        # within the documented tolerance of the float64 reference.
+        with loop_oracle():
+            estimate = complete_with(dtype="float32").estimate
         assert estimate.dtype == np.float32
         assert_float32_close(estimate, reference_estimate)
 
     def test_float32_input_honored_without_explicit_dtype(self):
         values, mask = toy_problem()
-        completer = CompressiveSensingCompleter(
-            rank=2, lam=10.0, iterations=20, seed=7, backend="numpy-ws"
-        )
+        completer = CompressiveSensingCompleter(rank=2, lam=10.0, iterations=20, seed=7)
         result = completer.complete(values.astype(np.float32), mask)
         assert result.estimate.dtype == np.float32
 
-    def test_rank_one_closed_form(self, reference_estimate):
-        a = complete_with("numpy", rank=1).estimate
-        b = complete_with("numpy-ws", rank=1).estimate
+    def test_rank_one_closed_form(self):
+        with loop_oracle():
+            a = complete_with(rank=1).estimate
+        b = complete_with(rank=1).estimate
         assert float(np.abs(a - b).max()) <= 1e-8
 
     def test_rank_above_two_gesv_fallback(self):
-        a = complete_with("numpy", rank=3).estimate
-        b = complete_with("numpy-ws", rank=3).estimate
+        with loop_oracle():
+            a = complete_with(rank=3).estimate
+        b = complete_with(rank=3).estimate
         assert float(np.abs(a - b).max()) <= 1e-8
 
     def test_lam_zero_all_unobserved_column(self):
         values, mask = toy_problem()
         mask[:, 5] = False  # singular column when lam == 0
-        for backend in ("numpy", "numpy-ws"):
-            completer = CompressiveSensingCompleter(
-                rank=2, lam=0.0, iterations=10, seed=3, backend=backend
-            )
-            result = completer.complete(values, mask)
-            assert np.isfinite(result.estimate).all()
-        # Both kernels zero the excluded column's factor rows.
-        a = CompressiveSensingCompleter(
-            rank=2, lam=0.0, iterations=10, seed=3, backend="numpy"
-        ).complete(values, mask)
-        b = CompressiveSensingCompleter(
-            rank=2, lam=0.0, iterations=10, seed=3, backend="numpy-ws"
-        ).complete(values, mask)
-        assert float(np.abs(a.estimate - b.estimate).max()) <= 1e-8
+        completer = CompressiveSensingCompleter(rank=2, lam=0.0, iterations=10, seed=3)
+        result = completer.complete(values, mask)
+        assert np.isfinite(result.estimate).all()
+        # The kernel zeroes the excluded column's factor row, as the
+        # loop oracle skips it.
+        assert not result.right[5].any()
+        with loop_oracle():
+            reference = completer.complete(values, mask)
+        assert float(np.abs(result.estimate - reference.estimate).max()) <= 1e-8
 
     def test_repeat_runs_bit_identical(self):
         # Workspace buffers are reused across sweeps; two fresh runs
         # must still agree to the last bit.
-        a = complete_with("numpy-ws").estimate
-        b = complete_with("numpy-ws").estimate
+        a = complete_with().estimate
+        b = complete_with().estimate
         assert a.tobytes() == b.tobytes()
-
-    def test_numpy_backend_supports_float32(self, reference_estimate):
-        estimate = complete_with("numpy", dtype="float32").estimate
-        assert estimate.dtype == np.float32
-        assert_float32_close(estimate, reference_estimate)
-
-
-class TestOptionalBackends:
-    def test_numba_equivalence(self, reference_estimate):
-        pytest.importorskip("numba")
-        estimate = complete_with("numba").estimate
-        assert float(np.abs(estimate - reference_estimate).max()) <= 1e-8
-        est32 = complete_with("numba", dtype="float32").estimate
-        assert est32.dtype == np.float32
-        assert_float32_close(est32, reference_estimate)
-
-    def test_cupy_equivalence(self, reference_estimate):
-        pytest.importorskip("cupy")
-        estimate = complete_with("cupy").estimate
-        assert float(np.abs(estimate - reference_estimate).max()) <= 1e-8
-
-    @pytest.mark.skipif(not HAVE_CUPY, reason="cupy not installed")
-    def test_cupy_requires_positive_lam(self):
-        with pytest.raises(ValueError, match="lam > 0"):
-            complete_with("cupy", lam=0.0)
 
 
 # ----------------------------------------------------------------------
-# Streaming warm-start dtype retention
+# Streaming: the warm-started solve
 # ----------------------------------------------------------------------
 def _probe(t, seg, speed):
     return ProbeReport(
         vehicle_id=0, time_s=t, x=0.0, y=0.0, speed_kmh=speed, segment_id=seg
     )
+
+
+class TestWarmComplete:
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    def test_bit_identical_to_completer_sweeps(self, dtype):
+        # complete() draws its init from the seed stream; started from
+        # that same factor, the warm path must run the very same sweeps.
+        values, mask = toy_problem()
+        measured = np.where(mask, values, 0.0)
+        completer = CompressiveSensingCompleter(
+            rank=2, lam=10.0, iterations=12, dtype=dtype, seed=5
+        )
+        cold = completer.complete(measured, mask)
+        work = completer.work_dtype(measured.dtype)
+        scale = np.sqrt(max(float(np.abs(measured.astype(work)[mask]).mean()), 1e-6) / 2)
+        init = ensure_rng(5).standard_normal((measured.shape[0], 2)) * scale
+        warm = _warm_complete(completer, measured, mask, init)
+        assert warm.estimate.dtype == cold.estimate.dtype
+        assert warm.estimate.tobytes() == cold.estimate.tobytes()
+        assert warm.objective_history == cold.objective_history
+        assert warm.left.tobytes() == cold.left.tobytes()
 
 
 class TestStreamingDtype:
@@ -272,7 +232,6 @@ class TestStreamingDtype:
             lam=1.0,
             cold_iterations=10,
             warm_iterations=4,
-            backend="numpy-ws",
             dtype="float32",
             seed=0,
         )
@@ -286,58 +245,6 @@ class TestStreamingDtype:
         assert warm_left.dtype == np.float32
         assert est.estimates and np.isfinite(est.estimates[-1].speeds_kmh).all()
 
-    def test_bad_backend_fails_at_construction(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            StreamingEstimator(segment_ids=[0], slot_s=60.0, backend="fortran")
-
-
-# ----------------------------------------------------------------------
-# Map-matching jit method
-# ----------------------------------------------------------------------
-class TestMapmatchJit:
-    def test_jit_method_matches_vectorized(self, small_network):
-        # Without numba the jit method falls back to the vectorized
-        # path, so this must pass either way; under the CI jit-extra
-        # leg it exercises the compiled kernel for real.
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-50.0, 650.0, size=128)
-        ys = rng.uniform(-50.0, 650.0, size=128)
-        headings = rng.uniform(0.0, 360.0, size=128)
-        batch = ReportBatch(
-            [
-                ProbeReport(
-                    vehicle_id=i % 5,
-                    time_s=float(i),
-                    x=float(xs[i]),
-                    y=float(ys[i]),
-                    speed_kmh=30.0,
-                    segment_id=-1,
-                    heading_deg=float(headings[i]),
-                )
-                for i in range(128)
-            ]
-        )
-        matcher = MapMatcher(small_network, max_distance_m=60.0)
-        ref = matcher.match_batch(batch, method="vectorized")
-        jit = matcher.match_batch(batch, method="jit")
-        np.testing.assert_array_equal(jit.segment_ids, ref.segment_ids)
-
-    def test_jit_availability_probe(self):
-        assert jit_match_available() == HAVE_NUMBA
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-class TestBackendsCli:
-    def test_backends_verb_lists_registry(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("numpy", "numpy-ws", "numba", "cupy"):
-            assert name in out
-        assert "available" in out
-
-    def test_backends_verbose_shows_hint(self, capsys):
-        assert main(["backends", "--verbose"]) == 0
-        out = capsys.readouterr().out
-        assert "repro[jit]" in out or HAVE_NUMBA
+    def test_bad_dtype_fails_at_construction(self):
+        with pytest.raises(ValueError, match="does not support dtype"):
+            StreamingEstimator(segment_ids=[0], slot_s=60.0, dtype="float16")

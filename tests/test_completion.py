@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.completion import CompletionResult, CompressiveSensingCompleter
+from repro.core.streaming import _warm_complete
 from repro.core.tcm import TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
 from repro.metrics.errors import nmae
 from tests.conftest import make_low_rank
+from tests.oracles import loop_oracle
 
 
 class TestValidation:
@@ -40,6 +42,28 @@ class TestValidation:
         completer = CompressiveSensingCompleter()
         with pytest.raises(ValueError, match="no observed"):
             completer.complete(np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
+
+    def test_rejects_float32_overflow(self):
+        # Finite in float64, inf once cast to the float32 working dtype.
+        values = np.full((4, 3), 30.0)
+        values[1, 1] = 1e300
+        mask = np.ones((4, 3), dtype=bool)
+        completer = CompressiveSensingCompleter(rank=1, iterations=2, dtype="float32")
+        with pytest.raises(ValueError, match="finite"):
+            completer.complete(values, mask)
+        # Unobserved cells are never read, so they may hold anything.
+        mask[1, 1] = False
+        assert np.isfinite(completer.complete(values, mask).estimate).all()
+
+    @pytest.mark.parametrize("dtype, bad", [("float32", 1e300), ("float64", np.nan)])
+    def test_warm_start_rejects_non_finite_observation(self, dtype, bad):
+        # The streaming and sharded solves enter through the same cast.
+        values = np.full((4, 3), 30.0)
+        values[1, 1] = bad
+        mask = np.ones((4, 3), dtype=bool)
+        completer = CompressiveSensingCompleter(rank=1, iterations=2, dtype=dtype)
+        with pytest.raises(ValueError, match="finite"):
+            _warm_complete(completer, values, mask, np.ones((4, 1)))
 
 
 class TestExactRecovery:
@@ -238,26 +262,23 @@ class TestEdgeCases:
 
 
 class TestSolverEquivalence:
-    """The vectorized solvers must reproduce the loop reference."""
+    """Algorithm 1 must reproduce itself run on the reference solves."""
 
     @staticmethod
     def _complete_all(measured, mask, **params):
-        return {
-            solver: CompressiveSensingCompleter(
-                solver=solver, seed=0, **params
-            ).complete(measured, mask)
-            for solver in ("loop", "batched", "grouped")
-        }
+        completer = CompressiveSensingCompleter(seed=0, **params)
+        with loop_oracle():
+            reference = completer.complete(measured, mask)
+        return {"loop": reference, "kernel": completer.complete(measured, mask)}
 
     @staticmethod
     def _assert_match(results, tol=1e-8):
-        reference = results["loop"].estimate
-        for solver in ("batched", "grouped"):
-            diff = np.max(np.abs(results[solver].estimate - reference))
-            assert diff <= tol, f"{solver} deviates by {diff}"
-            assert results[solver].objective == pytest.approx(
-                results["loop"].objective, rel=1e-9, abs=1e-9
-            )
+        reference = results["loop"]
+        diff = np.max(np.abs(results["kernel"].estimate - reference.estimate))
+        assert diff <= tol, f"kernel deviates by {diff}"
+        assert results["kernel"].objective == pytest.approx(
+            reference.objective, rel=1e-9, abs=1e-9
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -300,7 +321,7 @@ class TestSolverEquivalence:
     def test_rank_above_observed_rows(self):
         # Fewer observations per column than factor columns: the Gram
         # matrix is rank-deficient and only the ridge term makes the
-        # solve well-posed — all solvers must agree on that solution.
+        # solve well-posed — kernel and loop must agree on that solution.
         x = make_low_rank(9, 7, 2, seed=8)
         mask = random_integrity_mask(x.shape, 0.25, seed=9)
         results = self._complete_all(

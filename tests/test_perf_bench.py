@@ -1,6 +1,6 @@
 """Fast tier-1 coverage of the perf-bench harness.
 
-The full smoke profile (all solvers, baselines, GA tuning) lives in
+The full smoke profile (completion, baselines, GA tuning) lives in
 ``benchmarks/perf/test_bench_smoke.py`` and runs in the CI perf job;
 here we keep the harness importable and correct on a tiny workload so
 a refactor cannot silently break ``repro bench``.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.perf_bench import (
+    BENCH_SCHEMA,
     EQUIVALENCE_TOL,
     MIN_COMPARE_WALL_S,
     REGRESSION_THRESHOLD,
@@ -37,36 +38,30 @@ def tiny_report():
 
 
 def test_tiny_case_checks_equivalence(tiny_report):
-    assert tiny_report.equivalence_max_abs_diff["30x12@0.50"] <= EQUIVALENCE_TOL
-    assert "30x12@0.50" in tiny_report.speedups
-    # Solver suite plus the workspace backend at both dtypes.
-    assert {r.algorithm for r in tiny_report.records} == {
-        "cs-batched",
-        "cs-grouped",
-        "cs-loop",
-        "cs-f64",
-        "cs-f32",
-    }
-    assert {r.backend for r in tiny_report.records} == {"numpy", "numpy-ws"}
+    # Algorithm 1 timed at both dtypes; strict mode already held the
+    # float32 estimate to FLOAT32_RTOL of the float64 one.
+    assert {r.algorithm for r in tiny_report.records} == {"cs-f64", "cs-f32"}
+    assert "30x12@0.50-f32" in tiny_report.equivalence_max_abs_diff
+    assert tiny_report.speedups["30x12@0.50-f32"] > 0.0
 
 
 def test_backend_suite_equivalence_and_speedup_keys(tiny_report):
-    case = "30x12@0.50"
-    assert tiny_report.equivalence_max_abs_diff[f"{case}/numpy-ws-f64"] <= (
-        EQUIVALENCE_TOL
-    )
-    assert f"{case}/numpy-ws-f32" in tiny_report.equivalence_max_abs_diff
-    assert tiny_report.speedups[f"{case}/numpy-ws-f64"] > 0.0
-    assert tiny_report.speedups[f"{case}/numpy-ws-f32"] > 0.0
+    # One float32-against-float64 entry per case, in both dictionaries.
+    key = "30x12@0.50-f32"
+    assert set(tiny_report.equivalence_max_abs_diff) == {key}
+    assert set(tiny_report.speedups) == {key}
+    assert 0.0 <= tiny_report.equivalence_max_abs_diff[key] < float("inf")
+    assert 0.0 < tiny_report.speedups[key] < float("inf")
+    assert {r.case for r in tiny_report.records} == {"30x12@0.50"}
 
 
 def test_json_payload_schema(tiny_report, tmp_path):
     out = tiny_report.write_json(tmp_path / "bench.json")
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 5
+    assert payload["schema"] == BENCH_SCHEMA
     assert payload["equivalence_tol"] == EQUIVALENCE_TOL
-    assert len(payload["records"]) == 5
-    assert all("backend" in rec for rec in payload["records"])
+    assert len(payload["records"]) == 2
+    assert not any("backend" in rec for rec in payload["records"])
 
 
 def test_ingestion_suite_records_and_equivalence():

@@ -100,6 +100,62 @@ class TestIngest:
         est.ingest_batch(batch)
         assert est._counts.sum() == 0
 
+    def test_non_finite_time_dropped_without_moving_clock(self, network):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        sid = int(network.segment_ids[0])
+        obs_trace.reset()
+        obs_metrics.reset()
+        obs_trace.enable()
+        try:
+            est = _make_estimator(network)
+            est.ingest(ProbeReport(0, 100.0, 0.0, 0.0, speed_kmh=40.0, segment_id=sid))
+            for t in (float("nan"), float("inf")):
+                stray = ProbeReport(1, t, 0.0, 0.0, speed_kmh=40.0, segment_id=sid)
+                assert est.ingest(stray) == []
+            counters = obs_metrics.registry().snapshot()["counters"]
+            assert counters["stream.rejected_time"] == 2.0
+        finally:
+            obs_trace.disable()
+            obs_trace.reset()
+            obs_metrics.reset()
+        assert est._counts.sum() == 1
+        assert est.flush().slot_start_s == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_batch_drops_non_finite_times(self, network, bad):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        sid = int(network.segment_ids[0])
+        times = np.array([100.0, bad, 700.0, bad])
+        batch = ReportBatch.from_columns(
+            np.arange(4), times, np.zeros(4), np.zeros(4), np.full(4, 40.0),
+            segment_ids=np.full(4, sid), assume_sorted=True,
+        )
+        clean = ReportBatch.from_columns(
+            np.arange(2), times[[0, 2]], np.zeros(2), np.zeros(2),
+            np.full(2, 40.0), segment_ids=np.full(2, sid),
+        )
+        obs_trace.reset()
+        obs_metrics.reset()
+        obs_trace.enable()
+        try:
+            est = _make_estimator(network)
+            closed = est.ingest_batch(batch)
+            counters = obs_metrics.registry().snapshot()["counters"]
+            assert counters["stream.rejected_time"] == 2.0
+        finally:
+            obs_trace.disable()
+            obs_trace.reset()
+            obs_metrics.reset()
+        reference = _make_estimator(network)
+        expected = reference.ingest_batch(clean)
+        assert [c.slot_start_s for c in closed] == [0.0]
+        assert np.array_equal(closed[0].speeds_kmh, expected[0].speeds_kmh)
+        assert np.array_equal(est._counts, reference._counts)
+
     def test_trailing_dropped_reports_advance_clock(self, network):
         est = _make_estimator(network)
         batch = ReportBatch([

@@ -3,7 +3,7 @@
 Tier-1 coverage on a tiny workload: the request streams are seeded and
 deterministic, every (app, level) pair produces one result with sane
 latency/throughput numbers, the world builds from config or loads from
-an attached store, and the records land in schema-5 bench payloads the
+an attached store, and the records land in bench payloads the
 ``--compare`` gate can diff on p95.
 """
 
@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.experiments.perf_bench import (
+    BENCH_SCHEMA,
     MIN_COMPARE_P95_MS,
     compare_payloads,
     run_perf_bench,
@@ -100,7 +101,7 @@ def test_bench_report_serving_records(tmp_path):
     assert set(peaks) == set(SERVING_APPS)
     assert all(rps > 0.0 for rps in peaks.values())
     payload = json.loads(report.write_json(tmp_path / "bench.json").read_text())
-    assert payload["schema"] == 5
+    assert payload["schema"] == BENCH_SCHEMA
     assert payload["serving"]["apps"] == sorted(SERVING_APPS)
     rec = next(
         r for r in payload["records"] if r["case"].startswith("serving-")

@@ -99,6 +99,36 @@ class TestIngest:
         )
         assert len(closed) == 2
 
+    def test_non_finite_time_dropped_without_moving_clock(self):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        obs_trace.reset()
+        obs_metrics.reset()
+        obs_trace.enable()
+        try:
+            est = make_estimator()
+            est.ingest(report(10.0, 0, 30.0))
+            for t in (float("nan"), float("inf"), float("-inf")):
+                assert est.ingest(report(t, 1, 40.0)) == []
+            counters = obs_metrics.registry().snapshot()["counters"]
+            assert counters["stream.rejected_time"] == 3.0
+        finally:
+            obs_trace.disable()
+            obs_trace.reset()
+            obs_metrics.reset()
+        result = est.flush()
+        assert result.slot_start_s == 0.0
+        assert result.observed_fraction == pytest.approx(1 / 3)
+
+    def test_ingest_many_keeps_order_around_nan_times(self):
+        est = make_estimator()
+        closed = est.ingest_many(
+            [report(130.0, 0, 30.0), report(float("nan"), 1, 40.0), report(10.0, 2, 50.0)]
+        )
+        assert [c.slot_start_s for c in closed] == [0.0, 60.0]
+        assert closed[0].observed_fraction == pytest.approx(1 / 3)
+
 
 class TestEstimation:
     def test_missing_cells_estimated(self):
